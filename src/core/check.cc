@@ -28,6 +28,7 @@ using bitmapstore::TypeId;
 using common::Value;
 using nodestore::Direction;
 using nodestore::GraphDb;
+using nodestore::kChainDirections;
 using nodestore::kNullRecord;
 using nodestore::LabelId;
 using nodestore::NodeId;
@@ -86,6 +87,10 @@ std::string IdStr(uint64_t id) { return std::to_string(id); }
 // nodestore/graph_db.cc); the checker validates bounds per store.
 constexpr uint64_t kRelLocalMask = (uint64_t{1} << 48) - 1;
 
+const char* ChainName(Direction dir) {
+  return dir == Direction::kOutgoing ? "outgoing" : "incoming";
+}
+
 bool RelIdInBounds(RelId id, bool partitioned,
                    const std::vector<RecordId>& rel_high) {
   if (!partitioned) return id < rel_high[0];
@@ -131,7 +136,7 @@ Result<CheckReport> CheckNodestore(GraphDb* db, const CheckOptions& options) {
   const size_t num_rel_types = db->RelTypeNames().size();
 
   // Pass 1 — node records: bounds of the label and (unpartitioned) the
-  // chain head. Remembers liveness for the relationship passes.
+  // two chain heads. Remembers liveness for the relationship passes.
   std::vector<bool> node_in_use(node_high, false);
   for (NodeId id = 0; id < node_high; ++id) {
     MBQ_ASSIGN_OR_RETURN(NodeRecord rec, db->RawNodeRecord(id));
@@ -143,21 +148,24 @@ Result<CheckReport> CheckNodestore(GraphDb* db, const CheckOptions& options) {
                                     IdStr(rec.label) +
                                     " beyond the label registry");
     }
-    if (!partitioned && rec.first_rel != kNullRecord &&
-        !RelIdInBounds(rec.first_rel, partitioned, rel_high)) {
-      issues.Add("node-record", "node " + IdStr(id) +
-                                    " chain head points past the "
-                                    "relationship store (rel " +
-                                    IdStr(rec.first_rel) + ")");
+    if (partitioned) continue;
+    for (Direction dir : kChainDirections) {
+      const RecordId head = rec.head(dir);
+      if (head != kNullRecord && !RelIdInBounds(head, partitioned, rel_high)) {
+        issues.Add("node-record", "node " + IdStr(id) + " " +
+                                      ChainName(dir) +
+                                      " chain head points past the "
+                                      "relationship store (rel " +
+                                      IdStr(head) + ")");
+      }
     }
   }
 
   // Pass 2 — raw relationship records: endpoint and chain-pointer
-  // bounds, then (unpartitioned) doubly-linked mutual consistency.
+  // bounds, then doubly-linked mutual consistency of both chains.
   struct RelState {
     RelRecord rec;
-    bool src_seen = false;  // reached from src's chain walk
-    bool dst_seen = false;
+    bool seen[2] = {false, false};  // reached from src's / dst's chain
     bool dup_reported = false;
   };
   std::unordered_map<RelId, RelState> live;
@@ -197,61 +205,55 @@ Result<CheckReport> CheckNodestore(GraphDb* db, const CheckOptions& options) {
     return true;
   }));
 
-  if (!partitioned) {
-    // Doubly-linked consistency: a null prev means the node record heads
-    // the chain here; a non-null prev/next must be an in-use record that
-    // links straight back. Self-loops share one chain for both sides, so
-    // their pointer pairing is ambiguous and skipped.
-    auto side_next = [](const RelRecord& rec, NodeId node) {
-      return rec.src == node ? rec.src_next : rec.dst_next;
-    };
-    auto side_prev = [](const RelRecord& rec, NodeId node) {
-      return rec.src == node ? rec.src_prev : rec.dst_prev;
-    };
-    for (const auto& [id, state] : live) {
-      const RelRecord& rec = state.rec;
-      if (rec.src == rec.dst) continue;
-      for (auto [node, prev, next] :
-           {std::tuple{rec.src, rec.src_prev, rec.src_next},
-            std::tuple{rec.dst, rec.dst_prev, rec.dst_next}}) {
-        if (node >= node_high || !node_in_use[node]) continue;
-        if (prev == kNullRecord) {
+  // Each relationship sits in its src node's outgoing chain and its dst
+  // node's incoming chain. In each, a null prev means the node (its node
+  // record, when unpartitioned) heads the chain here; a non-null prev or
+  // next must be an in-use record that links straight back.
+  for (const auto& [id, state] : live) {
+    const RelRecord& rec = state.rec;
+    for (Direction dir : kChainDirections) {
+      const NodeId node = rec.owner(dir);
+      if (node >= node_high || !node_in_use[node]) continue;
+      const std::string chain =
+          "node " + IdStr(node) + "'s " + ChainName(dir) + " chain";
+      const RecordId prev = rec.prev(dir);
+      const RecordId next = rec.next(dir);
+      if (prev == kNullRecord) {
+        if (!partitioned) {
           MBQ_ASSIGN_OR_RETURN(NodeRecord owner, db->RawNodeRecord(node));
-          if (owner.first_rel != id) {
+          if (owner.head(dir) != id) {
             issues.Add("rel-chain",
-                       "rel " + IdStr(id) + " claims to head node " +
-                           IdStr(node) + "'s chain but the node points at " +
-                           (owner.first_rel == kNullRecord
+                       "rel " + IdStr(id) + " claims to head " + chain +
+                           " but the node points at " +
+                           (owner.head(dir) == kNullRecord
                                 ? std::string("nothing")
-                                : "rel " + IdStr(owner.first_rel)));
-          }
-        } else {
-          auto it = live.find(prev);
-          if (it == live.end()) {
-            issues.Add("rel-chain", "rel " + IdStr(id) +
-                                        " prev pointer names freed rel " +
-                                        IdStr(prev));
-          } else if (it->second.rec.src != it->second.rec.dst &&
-                     side_next(it->second.rec, node) != id) {
-            issues.Add("rel-chain", "rel " + IdStr(prev) +
-                                        " does not link forward to rel " +
-                                        IdStr(id) + " on node " +
-                                        IdStr(node) + "'s chain");
+                                : "rel " + IdStr(owner.head(dir))));
           }
         }
-        if (next != kNullRecord) {
-          auto it = live.find(next);
-          if (it == live.end()) {
-            issues.Add("rel-chain", "rel " + IdStr(id) +
-                                        " next pointer names freed rel " +
-                                        IdStr(next));
-          } else if (it->second.rec.src != it->second.rec.dst &&
-                     side_prev(it->second.rec, node) != id) {
-            issues.Add("rel-chain", "rel " + IdStr(next) +
-                                        " does not link back to rel " +
-                                        IdStr(id) + " on node " +
-                                        IdStr(node) + "'s chain");
-          }
+      } else {
+        auto it = live.find(prev);
+        if (it == live.end()) {
+          issues.Add("rel-chain", "rel " + IdStr(id) + " " +
+                                      ChainName(dir) +
+                                      " prev pointer names freed rel " +
+                                      IdStr(prev));
+        } else if (it->second.rec.next(dir) != id) {
+          issues.Add("rel-chain", "rel " + IdStr(prev) +
+                                      " does not link forward to rel " +
+                                      IdStr(id) + " on " + chain);
+        }
+      }
+      if (next != kNullRecord) {
+        auto it = live.find(next);
+        if (it == live.end()) {
+          issues.Add("rel-chain", "rel " + IdStr(id) + " " +
+                                      ChainName(dir) +
+                                      " next pointer names freed rel " +
+                                      IdStr(next));
+        } else if (it->second.rec.prev(dir) != id) {
+          issues.Add("rel-chain", "rel " + IdStr(next) +
+                                      " does not link back to rel " +
+                                      IdStr(id) + " on " + chain);
         }
       }
     }
@@ -259,65 +261,66 @@ Result<CheckReport> CheckNodestore(GraphDb* db, const CheckOptions& options) {
 
   // Pass 3 — chain reachability via the public walk (works in both
   // layouts): every in-use relationship must be reached exactly once
-  // from each endpoint's chain. A cycle-guard caps the walk.
-  const uint64_t walk_cap = report.rels_checked * 2 + 16;
+  // from its src node's outgoing chain and once from its dst node's
+  // incoming chain. A cycle-guard caps each walk.
+  const uint64_t walk_cap = report.rels_checked + 16;
   for (NodeId node = 0; node < node_high; ++node) {
     if (!node_in_use[node]) continue;
-    uint64_t visited = 0;
-    bool truncated = false;
-    Status walk = db->ForEachRelationship(
-        node, Direction::kBoth, std::nullopt,
-        [&](const GraphDb::RelInfo& info) {
-          if (++visited > walk_cap) {
-            truncated = true;
-            return false;
-          }
-          auto it = live.find(info.id);
-          if (it == live.end()) {
-            issues.Add("rel-chain", "node " + IdStr(node) +
-                                        "'s chain yields freed rel " +
-                                        IdStr(info.id));
-            return true;
-          }
-          if (info.src != node && info.dst != node) {
-            issues.Add("rel-chain", "node " + IdStr(node) +
-                                        "'s chain contains rel " +
-                                        IdStr(info.id) +
-                                        " which is not incident to it");
-            return true;
-          }
-          if (info.src == node) {
-            if (it->second.src_seen && !it->second.dup_reported) {
+    for (Direction dir : kChainDirections) {
+      const size_t side = dir == Direction::kOutgoing ? 0 : 1;
+      const std::string chain =
+          "node " + IdStr(node) + "'s " + ChainName(dir) + " chain";
+      uint64_t visited = 0;
+      bool truncated = false;
+      Status walk = db->ForEachRelationship(
+          node, dir, std::nullopt, [&](const GraphDb::RelInfo& info) {
+            if (++visited > walk_cap) {
+              truncated = true;
+              return false;
+            }
+            auto it = live.find(info.id);
+            if (it == live.end()) {
+              issues.Add("rel-chain",
+                         chain + " yields freed rel " + IdStr(info.id));
+              return true;
+            }
+            const NodeId owner = dir == Direction::kOutgoing ? info.src
+                                                             : info.dst;
+            if (owner != node) {
+              issues.Add("rel-chain", chain + " contains rel " +
+                                          IdStr(info.id) +
+                                          " which does not belong to it");
+              return true;
+            }
+            if (it->second.seen[side] && !it->second.dup_reported) {
               it->second.dup_reported = true;
               issues.Add("rel-chain", "rel " + IdStr(info.id) +
-                                          " reached twice from node " +
-                                          IdStr(node) + "'s chain");
+                                          " reached twice from " + chain);
             }
-            it->second.src_seen = true;
-          }
-          if (info.dst == node) it->second.dst_seen = true;
-          return true;
-        });
-    if (!walk.ok()) {
-      issues.Add("rel-chain", "walking node " + IdStr(node) +
-                                  "'s chain failed: " + walk.ToString());
-    }
-    if (truncated) {
-      issues.Add("rel-chain", "node " + IdStr(node) +
-                                  "'s chain exceeds the record count "
-                                  "(pointer cycle?)");
+            it->second.seen[side] = true;
+            return true;
+          });
+      if (!walk.ok()) {
+        issues.Add("rel-chain",
+                   "walking " + chain + " failed: " + walk.ToString());
+      }
+      if (truncated) {
+        issues.Add("rel-chain", chain +
+                                    " exceeds the record count "
+                                    "(pointer cycle?)");
+      }
     }
   }
   for (const auto& [id, state] : live) {
-    if (!state.src_seen) {
+    if (!state.seen[0]) {
       issues.Add("rel-chain", "rel " + IdStr(id) +
                                   " unreachable from its src node " +
-                                  IdStr(state.rec.src) + "'s chain");
+                                  IdStr(state.rec.src) + "'s outgoing chain");
     }
-    if (!state.dst_seen) {
+    if (!state.seen[1]) {
       issues.Add("rel-chain", "rel " + IdStr(id) +
                                   " unreachable from its dst node " +
-                                  IdStr(state.rec.dst) + "'s chain");
+                                  IdStr(state.rec.dst) + "'s incoming chain");
     }
   }
 

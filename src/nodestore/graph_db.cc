@@ -348,28 +348,30 @@ Result<RecordId> GraphDb::FindGroup(NodeId node, RelTypeId type, bool create) {
   return id;
 }
 
-Result<RecordId> GraphDb::GetChainHead(NodeId node, RelTypeId type) {
+Result<RecordId> GraphDb::GetChainHead(NodeId node, RelTypeId type,
+                                       Direction dir) {
   if (!options_.semantic_partitioning) {
     MBQ_ASSIGN_OR_RETURN(NodeRecord nrec, node_store_->Get<NodeRecord>(node));
-    return nrec.first_rel;
+    return nrec.head(dir);
   }
   MBQ_ASSIGN_OR_RETURN(RecordId group_id, FindGroup(node, type, false));
   if (group_id == kNullRecord) return kNullRecord;
   MBQ_ASSIGN_OR_RETURN(GroupRecord group,
                        group_store_->Get<GroupRecord>(group_id));
-  return group.first_rel;
+  return group.head(dir);
 }
 
-Status GraphDb::SetChainHead(NodeId node, RelTypeId type, RecordId head) {
+Status GraphDb::SetChainHead(NodeId node, RelTypeId type, Direction dir,
+                             RecordId head) {
   if (!options_.semantic_partitioning) {
     MBQ_ASSIGN_OR_RETURN(NodeRecord nrec, node_store_->Get<NodeRecord>(node));
-    nrec.first_rel = head;
+    nrec.head(dir) = head;
     return node_store_->Put(node, nrec);
   }
   MBQ_ASSIGN_OR_RETURN(RecordId group_id, FindGroup(node, type, true));
   MBQ_ASSIGN_OR_RETURN(GroupRecord group,
                        group_store_->Get<GroupRecord>(group_id));
-  group.first_rel = head;
+  group.head(dir) = head;
   return group_store_->Put(group_id, group);
 }
 
@@ -384,39 +386,27 @@ Result<RelId> GraphDb::CreateRelationship(RelTypeId type, NodeId src,
   MBQ_ASSIGN_OR_RETURN(NodeRecord dst_rec, node_store_->Get<NodeRecord>(dst));
   if (!dst_rec.in_use) return Status::NotFound("target node not in use");
 
-  MBQ_ASSIGN_OR_RETURN(RecordId src_head, GetChainHead(src, type));
-  RecordId dst_head = src_head;
-  if (src != dst) {
-    MBQ_ASSIGN_OR_RETURN(dst_head, GetChainHead(dst, type));
-  }
-
   MBQ_ASSIGN_OR_RETURN(RelId id, AllocateRel(type));
   RelRecord rel;
   rel.in_use = true;
   rel.type = type;
   rel.src = src;
   rel.dst = dst;
-  rel.src_next = src_head;
-  rel.dst_next = dst_head;
-
-  // Fix the previous chain heads' back-pointers.
-  auto fix_prev = [&](NodeId node, RecordId old_head) -> Status {
-    if (old_head == kNullRecord) return Status::OK();
-    MBQ_ASSIGN_OR_RETURN(RelRecord old_rec, GetRel(old_head));
-    if (old_rec.src == node) old_rec.src_prev = id;
-    if (old_rec.dst == node) old_rec.dst_prev = id;
-    return PutRel(old_head, old_rec);
-  };
-  MBQ_RETURN_IF_ERROR(fix_prev(src, src_head));
-  if (src != dst) {
-    MBQ_RETURN_IF_ERROR(fix_prev(dst, dst_head));
+  // Prepend to src's outgoing chain and dst's incoming chain, fixing the
+  // old heads' back-pointers. The two chains are independent, so a
+  // self-loop simply joins both of its node's chains.
+  for (Direction dir : kChainDirections) {
+    const NodeId owner = rel.owner(dir);
+    MBQ_ASSIGN_OR_RETURN(RecordId old_head, GetChainHead(owner, type, dir));
+    rel.next(dir) = old_head;
+    if (old_head != kNullRecord) {
+      MBQ_ASSIGN_OR_RETURN(RelRecord old_rec, GetRel(old_head));
+      old_rec.prev(dir) = id;
+      MBQ_RETURN_IF_ERROR(PutRel(old_head, old_rec));
+    }
+    MBQ_RETURN_IF_ERROR(SetChainHead(owner, type, dir, id));
   }
-
   MBQ_RETURN_IF_ERROR(PutRel(id, rel));
-  MBQ_RETURN_IF_ERROR(SetChainHead(src, type, id));
-  if (src != dst) {
-    MBQ_RETURN_IF_ERROR(SetChainHead(dst, type, id));
-  }
   ++num_rels_;
   {
     std::vector<uint8_t> payload;
@@ -431,32 +421,22 @@ Result<RelId> GraphDb::CreateRelationship(RelTypeId type, NodeId src,
   return id;
 }
 
-Status GraphDb::UnlinkRelationship(const RelRecord& rel, RelId rel_id) {
-  // Unlink from one endpoint's chain; for self-loops both chain pointers
-  // live in the same record, handled by the src side alone.
-  auto unlink_side = [&](NodeId node, RecordId prev, RecordId next) -> Status {
+Status GraphDb::UnlinkRelationship(const RelRecord& rel) {
+  for (Direction dir : kChainDirections) {
+    const RecordId prev = rel.prev(dir);
+    const RecordId next = rel.next(dir);
     if (prev == kNullRecord) {
-      MBQ_ASSIGN_OR_RETURN(RecordId head, GetChainHead(node, rel.type));
-      if (head == rel_id) {
-        MBQ_RETURN_IF_ERROR(SetChainHead(node, rel.type, next));
-      }
+      MBQ_RETURN_IF_ERROR(SetChainHead(rel.owner(dir), rel.type, dir, next));
     } else {
       MBQ_ASSIGN_OR_RETURN(RelRecord prec, GetRel(prev));
-      if (prec.src == node && prec.src_next == rel_id) prec.src_next = next;
-      if (prec.dst == node && prec.dst_next == rel_id) prec.dst_next = next;
+      prec.next(dir) = next;
       MBQ_RETURN_IF_ERROR(PutRel(prev, prec));
     }
     if (next != kNullRecord) {
       MBQ_ASSIGN_OR_RETURN(RelRecord nrec, GetRel(next));
-      if (nrec.src == node && nrec.src_prev == rel_id) nrec.src_prev = prev;
-      if (nrec.dst == node && nrec.dst_prev == rel_id) nrec.dst_prev = prev;
+      nrec.prev(dir) = prev;
       MBQ_RETURN_IF_ERROR(PutRel(next, nrec));
     }
-    return Status::OK();
-  };
-  MBQ_RETURN_IF_ERROR(unlink_side(rel.src, rel.src_prev, rel.src_next));
-  if (rel.src != rel.dst) {
-    MBQ_RETURN_IF_ERROR(unlink_side(rel.dst, rel.dst_prev, rel.dst_next));
   }
   return Status::OK();
 }
@@ -465,7 +445,7 @@ Status GraphDb::DeleteRelationship(RelId rel_id) {
   MBQ_ASSIGN_OR_RETURN(RelRecord rel, GetRel(rel_id));
   if (!rel.in_use) return Status::NotFound("relationship not in use");
   epochs_.Bump(cache::RelTypeDomain(rel.type));
-  MBQ_RETURN_IF_ERROR(UnlinkRelationship(rel, rel_id));
+  MBQ_RETURN_IF_ERROR(UnlinkRelationship(rel));
   MBQ_RETURN_IF_ERROR(FreePropertyChain(rel.first_prop));
   RelRecord cleared;
   cleared.in_use = false;
@@ -493,7 +473,8 @@ Status GraphDb::DeleteNode(NodeId node) {
     while (group_id != kNullRecord) {
       MBQ_ASSIGN_OR_RETURN(GroupRecord group,
                            group_store_->Get<GroupRecord>(group_id));
-      if (group.first_rel != kNullRecord) {
+      if (group.first_rel != kNullRecord ||
+          group.first_in_rel != kNullRecord) {
         return Status::FailedPrecondition(
             "node still has relationships; use DetachDeleteNode");
       }
@@ -510,7 +491,8 @@ Status GraphDb::DeleteNode(NodeId node) {
       group_id = next;
     }
     rec.first_rel = kNullRecord;
-  } else if (rec.first_rel != kNullRecord) {
+  } else if (rec.first_rel != kNullRecord ||
+             rec.first_in_rel != kNullRecord) {
     return Status::FailedPrecondition(
         "node still has relationships; use DetachDeleteNode");
   }
@@ -860,8 +842,8 @@ Result<Value> GraphDb::GetRelProperty(RelId rel, PropKeyId key) {
   return ReadPropertyChain(rec.first_prop, key, &found);
 }
 
-Status GraphDb::WalkChain(NodeId node, RecordId head, Direction dir,
-                          std::optional<RelTypeId> type,
+Status GraphDb::WalkChain(RecordId head, Direction dir,
+                          std::optional<RelTypeId> type, bool skip_loops,
                           const std::function<bool(const RelInfo&)>& fn,
                           bool* stopped) {
   *stopped = false;
@@ -869,24 +851,20 @@ Status GraphDb::WalkChain(NodeId node, RecordId head, Direction dir,
   while (cur != kNullRecord) {
     MBQ_ASSIGN_OR_RETURN(RelRecord rel, GetRel(cur));
     if (!rel.in_use) return Status::Corruption("chain hits freed record");
-    bool is_src = rel.src == node;
-    bool is_dst = rel.dst == node;
-    bool dir_match = dir == Direction::kBoth ||
-                     (dir == Direction::kOutgoing && is_src) ||
-                     (dir == Direction::kIncoming && is_dst);
-    if (dir_match && (!type.has_value() || rel.type == *type)) {
+    if ((!type.has_value() || rel.type == *type) &&
+        !(skip_loops && rel.src == rel.dst)) {
       RelInfo info;
       info.id = cur;
       info.type = rel.type;
       info.src = rel.src;
       info.dst = rel.dst;
-      info.other = is_src ? rel.dst : rel.src;
+      info.other = dir == Direction::kOutgoing ? rel.dst : rel.src;
       if (!fn(info)) {
         *stopped = true;
         return Status::OK();
       }
     }
-    cur = is_src ? rel.src_next : rel.dst_next;
+    cur = rel.next(dir);
   }
   return Status::OK();
 }
@@ -897,18 +875,29 @@ Status GraphDb::ForEachRelationship(
   MBQ_ASSIGN_OR_RETURN(NodeRecord nrec, node_store_->Get<NodeRecord>(node));
   if (!nrec.in_use) return Status::NotFound("node not in use");
   bool stopped = false;
-  if (!options_.semantic_partitioning) {
-    return WalkChain(node, nrec.first_rel, dir, type, fn, &stopped);
-  }
-  // Partitioned: one chain per relationship type, headed by the node's
-  // group list. A typed walk touches only that type's group and store.
+  // Walks the chains of `heads` that `dir` asks for; under kBoth the
+  // incoming walk skips self-loops, which the outgoing walk yielded.
+  auto walk = [&](auto& heads) -> Status {
+    for (Direction chain : kChainDirections) {
+      if (dir != Direction::kBoth && dir != chain) continue;
+      const bool skip_loops =
+          dir == Direction::kBoth && chain == Direction::kIncoming;
+      MBQ_RETURN_IF_ERROR(
+          WalkChain(heads.head(chain), chain, type, skip_loops, fn, &stopped));
+      if (stopped) return Status::OK();
+    }
+    return Status::OK();
+  };
+  if (!options_.semantic_partitioning) return walk(nrec);
+  // Partitioned: one pair of chains per relationship type, headed by the
+  // node's group list. A typed walk touches only that type's group and
+  // store.
   RecordId group_id = nrec.first_rel;
   while (group_id != kNullRecord) {
     MBQ_ASSIGN_OR_RETURN(GroupRecord group,
                          group_store_->Get<GroupRecord>(group_id));
     if (!type.has_value() || group.type == *type) {
-      MBQ_RETURN_IF_ERROR(
-          WalkChain(node, group.first_rel, dir, type, fn, &stopped));
+      MBQ_RETURN_IF_ERROR(walk(group));
       if (stopped) return Status::OK();
       if (type.has_value()) return Status::OK();  // only one group matches
     }

@@ -31,8 +31,6 @@ using RelId = RecordId;
 inline constexpr NodeId kInvalidNode = kNullRecord;
 inline constexpr RelId kInvalidRel = kNullRecord;
 
-enum class Direction : uint8_t { kOutgoing, kIncoming, kBoth };
-
 /// Engine configuration.
 struct GraphDbOptions {
   /// Page cache size in bytes.
@@ -60,8 +58,9 @@ struct GraphDbOptions {
 
 /// A transactional property-graph engine with Neo4j's storage
 /// architecture: fixed-width record stores (nodes, relationships,
-/// properties, dynamic strings) over a page cache, per-node doubly-linked
-/// relationship chains, a label scan store, and optional unique property
+/// properties, dynamic strings) over a page cache, per-direction
+/// doubly-linked relationship chains (each node heads an outgoing and an
+/// incoming chain), a label scan store, and optional unique property
 /// indexes. Drive it directly (the "core API"), through the traversal
 /// framework (traversal.h), or declaratively through mini-Cypher
 /// (src/cypher).
@@ -122,8 +121,10 @@ class GraphDb {
     /// The chain endpoint opposite to the node being expanded.
     NodeId other = kInvalidNode;
   };
-  /// Walks `node`'s relationship chain, invoking `fn` for each match;
-  /// `fn` returning false stops the walk.
+  /// Walks `node`'s chain for `dir`, invoking `fn` for each match; `fn`
+  /// returning false stops the walk. kBoth walks the outgoing chain, then
+  /// the incoming one without its self-loops, so each relationship is
+  /// seen once.
   Status ForEachRelationship(NodeId node, Direction dir,
                              std::optional<RelTypeId> type,
                              const std::function<bool(const RelInfo&)>& fn);
@@ -276,7 +277,7 @@ class GraphDb {
   void LogOpWithName(uint8_t op, const std::string& name);
   void PushUndo(std::function<Status()> undo);
 
-  Status UnlinkRelationship(const RelRecord& rel, RelId rel_id);
+  Status UnlinkRelationship(const RelRecord& rel);
   Result<Value> ReadPropertyChain(RecordId first_prop, PropKeyId key,
                                   bool* found);
   // Writes `value` under `key` into the chain headed at *first_prop,
@@ -313,16 +314,19 @@ class GraphDb {
   Status PutRel(RelId id, const RelRecord& rec);
   Status FreeRel(RelId id);
 
-  // Chain heads. Without partitioning the head of a node's single chain
-  // lives in its node record; with partitioning each (node, type) pair
-  // has its own chain headed in a relationship-group record.
-  Result<RecordId> GetChainHead(NodeId node, RelTypeId type);
-  Status SetChainHead(NodeId node, RelTypeId type, RecordId head);
+  // Chain heads, one per direction (`dir` is kOutgoing or kIncoming).
+  // Without partitioning the heads of a node's two chains live in its
+  // node record; with partitioning each (node, type) pair has its own two
+  // chains headed in a relationship-group record.
+  Result<RecordId> GetChainHead(NodeId node, RelTypeId type, Direction dir);
+  Status SetChainHead(NodeId node, RelTypeId type, Direction dir,
+                      RecordId head);
   /// Group record id for (node, type), creating it if asked.
   Result<RecordId> FindGroup(NodeId node, RelTypeId type, bool create);
-  /// Walks one relationship chain starting at `head`.
-  Status WalkChain(NodeId node, RecordId head, Direction dir,
-                   std::optional<RelTypeId> type,
+  /// Walks the `dir` chain (kOutgoing or kIncoming) starting at `head`,
+  /// passing over self-loops when `skip_loops` is set.
+  Status WalkChain(RecordId head, Direction dir,
+                   std::optional<RelTypeId> type, bool skip_loops,
                    const std::function<bool(const RelInfo&)>& fn,
                    bool* stopped);
 

@@ -17,40 +17,63 @@ using PropKeyId = uint32_t;
 inline constexpr LabelId kInvalidLabel = 0xFFFF;
 inline constexpr RelTypeId kInvalidRelType = 0xFFFF;
 
-/// Fixed-width node record (24 bytes), after Neo4j's node store: a label,
-/// the head of the relationship chain and the head of the property chain.
+/// Which of a node's relationship chains to walk. Every relationship sits
+/// in two chains: its src node's outgoing chain and its dst node's
+/// incoming chain (a self-loop therefore sits in both of one node's).
+enum class Direction : uint8_t { kOutgoing, kIncoming, kBoth };
+/// The two chain directions, in the order a kBoth walk visits them.
+inline constexpr Direction kChainDirections[] = {Direction::kOutgoing,
+                                                 Direction::kIncoming};
+
+/// Fixed-width node record (32 bytes), after Neo4j's node store: a label,
+/// the heads of the outgoing and incoming relationship chains and the
+/// head of the property chain.
 struct NodeRecord {
-  static constexpr uint32_t kSize = 24;
+  static constexpr uint32_t kSize = 32;
 
   bool in_use = false;
   /// Set by the importer's dense-node pass for high-degree nodes.
   bool dense = false;
   LabelId label = kInvalidLabel;
+  /// Head of the outgoing chain; under semantic partitioning, the head of
+  /// the node's relationship-group list instead.
   RecordId first_rel = kNullRecord;
+  /// Head of the incoming chain (unused under semantic partitioning).
+  RecordId first_in_rel = kNullRecord;
   RecordId first_prop = kNullRecord;
+
+  /// Head of the `dir` chain (kOutgoing or kIncoming; unpartitioned).
+  RecordId& head(Direction dir) {
+    return dir == Direction::kOutgoing ? first_rel : first_in_rel;
+  }
 
   void EncodeTo(uint8_t* out) const {
     out[0] = in_use ? 1 : 0;
     out[1] = dense ? 1 : 0;
     std::memcpy(out + 2, &label, sizeof(label));
     std::memset(out + 4, 0, 4);
-    std::memcpy(out + 8, &first_rel, sizeof(first_rel));
-    std::memcpy(out + 16, &first_prop, sizeof(first_prop));
+    const RecordId fields[] = {first_rel, first_in_rel, first_prop};
+    std::memcpy(out + 8, fields, sizeof(fields));
   }
   static NodeRecord DecodeFrom(const uint8_t* in) {
     NodeRecord r;
     r.in_use = in[0] != 0;
     r.dense = in[1] != 0;
     std::memcpy(&r.label, in + 2, sizeof(r.label));
-    std::memcpy(&r.first_rel, in + 8, sizeof(r.first_rel));
-    std::memcpy(&r.first_prop, in + 16, sizeof(r.first_prop));
+    RecordId fields[3];
+    std::memcpy(fields, in + 8, sizeof(fields));
+    r.first_rel = fields[0];
+    r.first_in_rel = fields[1];
+    r.first_prop = fields[2];
     return r;
   }
 };
 
 /// Fixed-width relationship record (64 bytes), after Neo4j's relationship
-/// store: endpoints plus doubly-linked chain pointers for both endpoint
-/// nodes, so a node's relationships are walked without any index.
+/// store: endpoints plus doubly-linked chain pointers, src_prev/src_next
+/// in the src node's outgoing chain and dst_prev/dst_next in the dst
+/// node's incoming chain, so a node's relationships in one direction are
+/// walked without any index.
 struct RelRecord {
   static constexpr uint32_t kSize = 64;
 
@@ -63,6 +86,24 @@ struct RelRecord {
   RecordId dst_prev = kNullRecord;
   RecordId dst_next = kNullRecord;
   RecordId first_prop = kNullRecord;
+
+  /// The node whose `dir` chain (kOutgoing or kIncoming) holds this
+  /// record, and this record's links in that chain.
+  RecordId owner(Direction dir) const {
+    return dir == Direction::kOutgoing ? src : dst;
+  }
+  RecordId& prev(Direction dir) {
+    return dir == Direction::kOutgoing ? src_prev : dst_prev;
+  }
+  RecordId& next(Direction dir) {
+    return dir == Direction::kOutgoing ? src_next : dst_next;
+  }
+  RecordId prev(Direction dir) const {
+    return dir == Direction::kOutgoing ? src_prev : dst_prev;
+  }
+  RecordId next(Direction dir) const {
+    return dir == Direction::kOutgoing ? src_next : dst_next;
+  }
 
   void EncodeTo(uint8_t* out) const {
     out[0] = in_use ? 1 : 0;
@@ -135,31 +176,39 @@ struct PropRecord {
 /// Relationship-group record (32 bytes), after Neo4j's relationship
 /// groups: under semantic partitioning a node's relationships are
 /// chained per type, with one group record per (node, type) holding the
-/// head of that type's chain. The node's first_rel then points at the
-/// first group instead of the first relationship.
+/// heads of that type's outgoing and incoming chains. The node's
+/// first_rel then points at the first group instead of the first
+/// relationship.
 struct GroupRecord {
   static constexpr uint32_t kSize = 32;
 
   bool in_use = false;
   RelTypeId type = kInvalidRelType;
-  RecordId first_rel = kNullRecord;
+  RecordId first_rel = kNullRecord;     // outgoing chain head
   RecordId next_group = kNullRecord;
+  RecordId first_in_rel = kNullRecord;  // incoming chain head
+
+  RecordId& head(Direction dir) {
+    return dir == Direction::kOutgoing ? first_rel : first_in_rel;
+  }
 
   void EncodeTo(uint8_t* out) const {
     out[0] = in_use ? 1 : 0;
     out[1] = 0;
     std::memcpy(out + 2, &type, sizeof(type));
     std::memset(out + 4, 0, 4);
-    std::memcpy(out + 8, &first_rel, sizeof(first_rel));
-    std::memcpy(out + 16, &next_group, sizeof(next_group));
-    std::memset(out + 24, 0, 8);
+    const RecordId fields[] = {first_rel, next_group, first_in_rel};
+    std::memcpy(out + 8, fields, sizeof(fields));
   }
   static GroupRecord DecodeFrom(const uint8_t* in) {
     GroupRecord r;
     r.in_use = in[0] != 0;
     std::memcpy(&r.type, in + 2, sizeof(r.type));
-    std::memcpy(&r.first_rel, in + 8, sizeof(r.first_rel));
-    std::memcpy(&r.next_group, in + 16, sizeof(r.next_group));
+    RecordId fields[3];
+    std::memcpy(fields, in + 8, sizeof(fields));
+    r.first_rel = fields[0];
+    r.next_group = fields[1];
+    r.first_in_rel = fields[2];
     return r;
   }
 };

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <vector>
 
 #include "util/clock.h"
 #include "util/lock_rank.h"
@@ -47,11 +46,21 @@ struct DiskStats {
   uint64_t busy_nanos = 0;  // total simulated device time charged
 };
 
-/// An in-memory array of pages that charges HDD-like latency to a Clock.
+/// An array of pages that charges HDD-like latency to a Clock.
 ///
 /// The paper's import-time "jumps" (Figures 2 and 3) and the cold-cache
 /// discussion in Section 4 are disk effects; modelling the device lets the
 /// benches reproduce those shapes deterministically at laptop scale.
+///
+/// The bytes live in an unlinked temporary file under $TMPDIR (else
+/// /tmp), read and written with pread/pwrite, so the process holds only
+/// its buffer caches and not a second copy of every store. The file
+/// vanishes with the disk (or the process). If it cannot be created,
+/// every read and write fails with IoError. The last page written is
+/// held back in memory until another page is written: a WAL rewrites
+/// its tail page on every sync, and those rewrites then cost one pwrite
+/// per page instead of one per sync. An error from that deferred pwrite
+/// surfaces on the write that flushes it.
 ///
 /// Thread-safe: one internal mutex serializes accesses, modelling a
 /// single-head device — concurrent readers queue at the disk exactly as
@@ -61,6 +70,7 @@ class SimulatedDisk {
   /// Charges latency to `clock` (typically a VirtualClock owned by the
   /// caller, so logic time and device time are separable).
   SimulatedDisk(DiskProfile profile, Clock* clock);
+  ~SimulatedDisk();
 
   SimulatedDisk(const SimulatedDisk&) = delete;
   SimulatedDisk& operator=(const SimulatedDisk&) = delete;
@@ -91,7 +101,7 @@ class SimulatedDisk {
 
   uint64_t num_pages() const {
     util::ScopedLock lock(mu_);
-    return pages_.size();
+    return num_pages_;
   }
   /// Snapshot of the cumulative counters (copied under the lock).
   DiskStats stats() const {
@@ -107,19 +117,30 @@ class SimulatedDisk {
   /// Total bytes held (the simulated on-disk footprint).
   uint64_t SizeBytes() const {
     util::ScopedLock lock(mu_);
-    return pages_.size() * kPageSize;
+    return num_pages_ * kPageSize;
   }
 
  private:
   void Charge(PageId id, uint64_t transfer_nanos) MBQ_REQUIRES(mu_);
   Status CheckFailure() MBQ_REQUIRES(mu_);
+  Status FlushPending() MBQ_REQUIRES(mu_);
 
   DiskProfile profile_;
   Clock* clock_;
+  /// The backing file, or -1 when it could not be created; `open_status_`
+  /// then holds the IoError every access returns. Both are fixed at
+  /// construction.
+  int fd_ = -1;
+  Status open_status_;
   /// LockRank::kDisk, the innermost storage lock: critical sections touch
-  /// only the page array, the counters, and the (thread-safe) clock.
+  /// only the backing file, the counters, and the (thread-safe) clock.
   mutable util::RankedMutex mu_{util::LockRank::kDisk, "storage.disk"};
-  std::vector<std::unique_ptr<uint8_t[]>> pages_ MBQ_GUARDED_BY(mu_);
+  /// Pages allocated so far; the file may be shorter, since a page reads
+  /// as zeros until its first write.
+  uint64_t num_pages_ MBQ_GUARDED_BY(mu_) = 0;
+  /// The held-back page (kPageSize bytes) and its id, or kInvalidPageId.
+  std::unique_ptr<uint8_t[]> pending_ MBQ_GUARDED_BY(mu_);
+  PageId pending_id_ MBQ_GUARDED_BY(mu_) = kInvalidPageId;
   PageId last_page_ MBQ_GUARDED_BY(mu_) = kInvalidPageId;
   DiskStats stats_ MBQ_GUARDED_BY(mu_);
   uint64_t fail_after_ MBQ_GUARDED_BY(mu_) = UINT64_MAX;

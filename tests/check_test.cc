@@ -95,6 +95,25 @@ TEST_P(NodestoreCheckTest, DetectsBrokenRelationshipChain) {
   EXPECT_TRUE(HasComponent(*report, "rel-chain")) << report->ToText();
 }
 
+TEST_P(NodestoreCheckTest, DetectsBrokenIncomingChain) {
+  GraphDb db(FastOptions(GetParam()));
+  ASSERT_TRUE(twitter::LoadIntoNodestore(SmallDataset(), &db).ok());
+
+  // The same fault on the dst side: the dst node's incoming chain cycles
+  // on this record, while its outgoing chain stays intact.
+  RelRecord rec;
+  RelId victim = FirstRel(&db, &rec);
+  rec.dst_next = victim;
+  ASSERT_TRUE(db.RawPutRelRecord(victim, rec).ok());
+
+  auto report = CheckNodestore(&db);
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->ok());
+  EXPECT_TRUE(HasComponent(*report, "rel-chain")) << report->ToText();
+  EXPECT_NE(report->ToText().find("incoming chain"), std::string::npos)
+      << report->ToText();
+}
+
 TEST_P(NodestoreCheckTest, DetectsDanglingChainPointer) {
   GraphDb db(FastOptions(GetParam()));
   ASSERT_TRUE(twitter::LoadIntoNodestore(SmallDataset(), &db).ok());

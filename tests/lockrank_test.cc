@@ -14,6 +14,17 @@
 namespace mbq::util {
 namespace {
 
+// Release builds define MBQ_LOCK_RANK_DISABLE and compile the checker
+// down to no-ops: nothing is counted, recorded or trapped there. Tests
+// that observe the checker skip in such builds; RelWithDebInfo, the
+// default, runs them all.
+#if defined(MBQ_LOCK_RANK_DISABLE)
+#define SKIP_IF_CHECKER_COMPILED_OUT() \
+  GTEST_SKIP() << "lock-rank checker compiled out (MBQ_LOCK_RANK_DISABLE)"
+#else
+#define SKIP_IF_CHECKER_COMPILED_OUT() static_cast<void>(0)
+#endif
+
 // Every test runs with checking forced ON (the default can be overridden
 // by the MBQ_LOCK_RANK environment variable) and abort-on-violation
 // restored to its default afterwards, so test order does not matter.
@@ -33,6 +44,7 @@ TEST_F(LockRankTest, RankNamesAreSpecNames) {
 }
 
 TEST_F(LockRankTest, DescendingAcquisitionPasses) {
+  SKIP_IF_CHECKER_COMPILED_OUT();
   RankedMutex outer(LockRank::kRpc, "test.outer");
   RankedMutex middle(LockRank::kSession, "test.middle");
   RankedMutex inner(LockRank::kRing, "test.inner");
@@ -54,6 +66,7 @@ TEST_F(LockRankTest, DescendingAcquisitionPasses) {
 }
 
 TEST_F(LockRankTest, ReleaseOrderNeedNotBeLifo) {
+  SKIP_IF_CHECKER_COMPILED_OUT();
   // unique_lock-style guards may release out of stack order; the held
   // set must still drain to empty.
   RankedMutex outer(LockRank::kSnapshot, "test.outer");
@@ -69,6 +82,7 @@ TEST_F(LockRankTest, ReleaseOrderNeedNotBeLifo) {
 using LockRankDeathTest = LockRankTest;
 
 TEST_F(LockRankDeathTest, AscendingAcquisitionAborts) {
+  SKIP_IF_CHECKER_COMPILED_OUT();
   RankedMutex inner(LockRank::kDisk, "test.disk");
   RankedMutex outer(LockRank::kWal, "test.wal");
   ASSERT_DEATH(
@@ -82,6 +96,7 @@ TEST_F(LockRankDeathTest, AscendingAcquisitionAborts) {
 }
 
 TEST_F(LockRankDeathTest, SameRankReacquisitionAborts) {
+  SKIP_IF_CHECKER_COMPILED_OUT();
   // Two different mutexes of equal rank still deadlock pairwise; the
   // strict-descent rule forbids holding both.
   RankedMutex a(LockRank::kCache, "test.shard_a");
@@ -96,6 +111,7 @@ TEST_F(LockRankDeathTest, SameRankReacquisitionAborts) {
 }
 
 TEST_F(LockRankTest, SharedThenExclusiveReacquisitionIsAViolation) {
+  SKIP_IF_CHECKER_COMPILED_OUT();
   // shared-then-exclusive on the same mutex self-deadlocks; count the
   // violation instead of aborting so the test can observe it. The
   // would-be relock is driven through the bookkeeping hooks directly —
@@ -112,6 +128,7 @@ TEST_F(LockRankTest, SharedThenExclusiveReacquisitionIsAViolation) {
 }
 
 TEST_F(LockRankTest, SharedModeStillDescends) {
+  SKIP_IF_CHECKER_COMPILED_OUT();
   // Shared acquisitions obey the same hierarchy as exclusive ones.
   SetLockRankAbortOnViolation(false);
   RankedSharedMutex low(LockRank::kBufferCache, "test.low");

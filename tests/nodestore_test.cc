@@ -29,6 +29,7 @@ TEST(RecordsTest, NodeRecordCodec) {
   r.dense = true;
   r.label = 7;
   r.first_rel = 12345;
+  r.first_in_rel = 4321;
   r.first_prop = 678;
   uint8_t buf[NodeRecord::kSize];
   r.EncodeTo(buf);
@@ -37,7 +38,28 @@ TEST(RecordsTest, NodeRecordCodec) {
   EXPECT_TRUE(d.dense);
   EXPECT_EQ(d.label, 7);
   EXPECT_EQ(d.first_rel, 12345u);
+  EXPECT_EQ(d.first_in_rel, 4321u);
   EXPECT_EQ(d.first_prop, 678u);
+  EXPECT_EQ(d.head(Direction::kOutgoing), 12345u);
+  EXPECT_EQ(d.head(Direction::kIncoming), 4321u);
+}
+
+TEST(RecordsTest, GroupRecordCodecKeepsItsSize) {
+  static_assert(GroupRecord::kSize == 32);
+  GroupRecord g;
+  g.in_use = true;
+  g.type = 5;
+  g.first_rel = 11;
+  g.first_in_rel = 22;
+  g.next_group = 33;
+  uint8_t buf[GroupRecord::kSize];
+  g.EncodeTo(buf);
+  GroupRecord d = GroupRecord::DecodeFrom(buf);
+  EXPECT_TRUE(d.in_use);
+  EXPECT_EQ(d.type, 5);
+  EXPECT_EQ(d.head(Direction::kOutgoing), 11u);
+  EXPECT_EQ(d.head(Direction::kIncoming), 22u);
+  EXPECT_EQ(d.next_group, 33u);
 }
 
 TEST(RecordsTest, RelRecordCodec) {
@@ -360,6 +382,123 @@ TEST_F(GraphDbTest, ComputeDenseNodes) {
   ASSERT_TRUE(dense.ok());
   EXPECT_EQ(*dense, 1u);
 }
+
+// ------------------------------------------- Per-direction chains, both layouts
+
+class ChainLayoutTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    GraphDbOptions options = FastOptions();
+    options.semantic_partitioning = GetParam();
+    db_ = std::make_unique<GraphDb>(options);
+    user_ = *db_->Label("user");
+    follows_ = *db_->RelType("follows");
+    mentions_ = *db_->RelType("mentions");
+  }
+
+  uint64_t Degree(NodeId node, Direction dir) {
+    return *db_->Degree(node, dir, std::nullopt);
+  }
+
+  std::unique_ptr<GraphDb> db_;
+  LabelId user_;
+  RelTypeId follows_, mentions_;
+};
+
+TEST_P(ChainLayoutTest, SelfLoopCountsOnceInEveryDirection) {
+  NodeId a = *db_->CreateNode(user_);
+  NodeId b = *db_->CreateNode(user_);
+  ASSERT_TRUE(db_->CreateRelationship(follows_, a, b).ok());
+  RelId loop = *db_->CreateRelationship(follows_, a, a);
+  ASSERT_TRUE(db_->CreateRelationship(follows_, b, a).ok());
+  for (Direction dir :
+       {Direction::kOutgoing, Direction::kIncoming, Direction::kBoth}) {
+    EXPECT_EQ(*db_->Degree(a, dir, follows_),
+              dir == Direction::kBoth ? 3u : 2u);
+  }
+
+  ASSERT_TRUE(db_->DeleteRelationship(loop).ok());
+  EXPECT_EQ(Degree(a, Direction::kOutgoing), 1u);
+  EXPECT_EQ(Degree(a, Direction::kIncoming), 1u);
+  EXPECT_EQ(Degree(a, Direction::kBoth), 2u);
+
+  NodeId c = *db_->CreateNode(user_);
+  RelId lone = *db_->CreateRelationship(follows_, c, c);
+  EXPECT_EQ(Degree(c, Direction::kOutgoing), 1u);
+  EXPECT_EQ(Degree(c, Direction::kIncoming), 1u);
+  EXPECT_EQ(Degree(c, Direction::kBoth), 1u);
+  ASSERT_TRUE(db_->DeleteRelationship(lone).ok());
+  EXPECT_EQ(Degree(c, Direction::kBoth), 0u);
+  EXPECT_TRUE(db_->DeleteNode(c).ok());
+}
+
+TEST_P(ChainLayoutTest, DeleteNodeRefusesWhileEitherChainIsNonEmpty) {
+  NodeId src = *db_->CreateNode(user_);
+  NodeId dst = *db_->CreateNode(user_);
+  RelId rel = *db_->CreateRelationship(mentions_, src, dst);
+  EXPECT_TRUE(db_->DeleteNode(src).IsFailedPrecondition());  // outgoing
+  EXPECT_TRUE(db_->DeleteNode(dst).IsFailedPrecondition());  // incoming
+  NodeId loop_node = *db_->CreateNode(user_);
+  ASSERT_TRUE(db_->CreateRelationship(follows_, loop_node, loop_node).ok());
+  EXPECT_TRUE(db_->DeleteNode(loop_node).IsFailedPrecondition());
+
+  ASSERT_TRUE(db_->DeleteRelationship(rel).ok());
+  EXPECT_TRUE(db_->DeleteNode(src).ok());
+  EXPECT_TRUE(db_->DeleteNode(dst).ok());
+}
+
+TEST_P(ChainLayoutTest, DetachDeleteClearsBothChains) {
+  NodeId hub = *db_->CreateNode(user_);
+  std::vector<NodeId> others;
+  for (int i = 0; i < 4; ++i) {
+    others.push_back(*db_->CreateNode(user_));
+    ASSERT_TRUE(db_->CreateRelationship(follows_, hub, others.back()).ok());
+    ASSERT_TRUE(db_->CreateRelationship(mentions_, others.back(), hub).ok());
+  }
+  ASSERT_TRUE(db_->CreateRelationship(follows_, hub, hub).ok());
+  ASSERT_TRUE(
+      db_->CreateRelationship(follows_, others[0], others[1]).ok());
+  ASSERT_EQ(db_->NumRels(), 10u);
+
+  ASSERT_TRUE(db_->DetachDeleteNode(hub).ok());
+  EXPECT_FALSE(db_->NodeExists(hub));
+  EXPECT_EQ(db_->NumRels(), 1u);
+  EXPECT_EQ(Degree(others[0], Direction::kBoth), 1u);
+  EXPECT_EQ(Degree(others[1], Direction::kIncoming), 1u);
+  EXPECT_EQ(Degree(others[2], Direction::kBoth), 0u);
+  EXPECT_EQ(Degree(others[3], Direction::kBoth), 0u);
+}
+
+TEST_P(ChainLayoutTest, OutgoingWalkReadsOnlyTheOutgoingChain) {
+  NodeId star = *db_->CreateNode(user_);
+  NodeId followee = *db_->CreateNode(user_);
+  ASSERT_TRUE(db_->CreateRelationship(follows_, star, followee).ok());
+  for (int i = 0; i < 500; ++i) {
+    NodeId fan = *db_->CreateNode(user_);
+    ASSERT_TRUE(db_->CreateRelationship(follows_, fan, star).ok());
+  }
+
+  db_->ResetDbHits();
+  std::vector<NodeId> seen;
+  ASSERT_TRUE(db_->ForEachRelationship(star, Direction::kOutgoing, follows_,
+                                       [&](const GraphDb::RelInfo& rel) {
+                                         seen.push_back(rel.other);
+                                         return true;
+                                       })
+                  .ok());
+  EXPECT_EQ(seen, std::vector<NodeId>{followee});
+  // The node record, the follows group record when partitioned, and the
+  // one outgoing relationship: none of the 500 incoming ones.
+  EXPECT_EQ(db_->db_hits(), GetParam() ? 3u : 2u);
+
+  EXPECT_EQ(Degree(star, Direction::kIncoming), 500u);
+  EXPECT_EQ(Degree(star, Direction::kBoth), 501u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, ChainLayoutTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Partitioned" : "Single";
+                         });
 
 // ------------------------------------------------------------ Transactions
 

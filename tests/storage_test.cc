@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <optional>
+#include <string>
 
 #include "storage/buffer_cache.h"
 #include "storage/extent_allocator.h"
@@ -73,6 +78,100 @@ TEST(SimulatedDiskTest, TimeFlowsToClock) {
   ASSERT_TRUE(disk.ReadPage(0, buf.data()).ok());
   EXPECT_EQ(clock.NowNanos(), disk.stats().busy_nanos);
   EXPECT_GT(clock.NowNanos(), 0u);
+}
+
+/// Points $TMPDIR at `dir` for the test's lifetime, restoring it after.
+class ScopedTmpdir {
+ public:
+  explicit ScopedTmpdir(const std::string& dir) {
+    if (const char* old = std::getenv("TMPDIR")) saved_ = old;
+    setenv("TMPDIR", dir.c_str(), 1);
+  }
+  ~ScopedTmpdir() {
+    if (saved_) {
+      setenv("TMPDIR", saved_->c_str(), 1);
+    } else {
+      unsetenv("TMPDIR");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+bool DirIsEmpty(const std::string& dir) {
+  return std::filesystem::directory_iterator(dir) ==
+         std::filesystem::directory_iterator();
+}
+
+TEST(SimulatedDiskTest, FileBackedPagesStayPrivateAndLeaveNoFile) {
+  std::string dir = ::testing::TempDir() + "/mbq_disk_XXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  {
+    ScopedTmpdir tmpdir(dir);
+    VirtualClock clock;
+    SimulatedDisk a(DiskProfile::Instant(), &clock);
+    SimulatedDisk b(DiskProfile::Instant(), &clock);
+    constexpr PageId kPages = 300;  // 2.4 MiB per disk
+    std::vector<uint8_t> page(kPageSize);
+    for (PageId id = 0; id < kPages; ++id) {
+      ASSERT_EQ(a.AllocatePage(), id);
+      ASSERT_EQ(b.AllocatePage(), id);
+      for (size_t i = 0; i < kPageSize; ++i) page[i] = (id * 7 + i) & 0xFF;
+      ASSERT_TRUE(a.WritePage(id, page.data()).ok());
+      page[0] ^= 0xFF;  // b's copy of each page differs from a's
+      ASSERT_TRUE(b.WritePage(id, page.data()).ok());
+    }
+    EXPECT_TRUE(DirIsEmpty(dir));
+    std::vector<uint8_t> out(kPageSize);
+    for (PageId id = kPages; id-- > 0;) {
+      ASSERT_TRUE(a.ReadPage(id, out.data()).ok());
+      for (size_t i = 0; i < kPageSize; ++i) {
+        ASSERT_EQ(out[i], (id * 7 + i) & 0xFF) << "page " << id;
+      }
+      ASSERT_TRUE(b.ReadPage(id, out.data()).ok());
+      EXPECT_EQ(out[0], ((id * 7) & 0xFF) ^ 0xFF) << "page " << id;
+    }
+    // Rewrites of one page (a WAL's tail) read back the latest bytes,
+    // before and after another page's write pushes them to the file.
+    std::fill(page.begin(), page.end(), 0x11);
+    ASSERT_TRUE(a.WritePage(7, page.data()).ok());
+    std::fill(page.begin(), page.end(), 0x22);
+    ASSERT_TRUE(a.WritePage(7, page.data()).ok());
+    ASSERT_TRUE(a.ReadPage(7, out.data()).ok());
+    EXPECT_EQ(out, page);
+    ASSERT_TRUE(a.WritePage(8, page.data()).ok());
+    ASSERT_TRUE(a.ReadPage(7, out.data()).ok());
+    EXPECT_EQ(out, page);
+    // A page past the last write reads as zeros; past the end is refused.
+    PageId fresh = a.AllocatePage();
+    ASSERT_TRUE(a.ReadPage(fresh, out.data()).ok());
+    EXPECT_EQ(std::count(out.begin(), out.end(), 0),
+              static_cast<long>(kPageSize));
+    EXPECT_TRUE(a.ReadPage(fresh + 1, out.data()).IsOutOfRange());
+    EXPECT_TRUE(a.WritePage(fresh + 1, out.data()).IsOutOfRange());
+
+    a.InjectFailureAfter(2);
+    EXPECT_TRUE(a.ReadPage(0, out.data()).ok());
+    EXPECT_TRUE(a.WritePage(0, out.data()).ok());
+    EXPECT_TRUE(a.ReadPage(0, out.data()).IsIoError());
+    a.ClearFailure();
+    EXPECT_TRUE(a.ReadPage(0, out.data()).ok());
+    EXPECT_EQ(a.stats().page_reads, kPages + 5);
+    EXPECT_EQ(a.SizeBytes(), (kPages + 1) * kPageSize);
+  }
+  EXPECT_TRUE(DirIsEmpty(dir));
+  std::filesystem::remove(dir);
+}
+
+TEST(SimulatedDiskTest, MissingTmpdirSurfacesIoError) {
+  ScopedTmpdir tmpdir(::testing::TempDir() + "/mbq_no_such_dir/nested");
+  VirtualClock clock;
+  SimulatedDisk disk(DiskProfile::Instant(), &clock);
+  PageId id = disk.AllocatePage();
+  std::vector<uint8_t> buf(kPageSize);
+  EXPECT_TRUE(disk.WritePage(id, buf.data()).IsIoError());
+  EXPECT_TRUE(disk.ReadPage(id, buf.data()).IsIoError());
 }
 
 // ------------------------------------------------------------ BufferCache
